@@ -20,7 +20,7 @@
 //	ffbench -seeds 5            # run seeded experiments over seeds 1..5
 //	ffbench -json               # write BENCH_ffbench.json
 //	ffbench -short              # cut-down horizons (CI smoke)
-//	ffbench -shards 4           # sharded parallel engine (0 = serial)
+//	ffbench -shards 4           # partition the engine into 4 shards (default 1)
 //	ffbench -nowarm             # cold-build every run (no warm-fabric reuse)
 //	ffbench -check              # exit 1 if shape checks fail
 //	ffbench -compare BENCH_ffbench.json   # exit 1 on wall-time or alloc regression
@@ -114,7 +114,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
-	shards := flag.Int("shards", 0, "engine shard count for simulations (0 = serial engine)")
+	shards := flag.Int("shards", 1, "engine shard count for simulations (results are identical for every value)")
 	nowarm := flag.Bool("nowarm", false, "disable warm-fabric reuse across runs (every run cold-builds)")
 	flag.Parse()
 	experiment.DefaultShards = *shards

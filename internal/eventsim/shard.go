@@ -42,8 +42,9 @@ func (o *RankOwner) Next() uint64 {
 // tx >= 1ns and prop >= Lookahead, hence strictly after Tend — so every
 // shard can execute its local events through Tend without ever receiving a
 // surprise from a peer. Shards run the window in parallel on their own
-// goroutines; at the barrier the main goroutine drains the hand-off rings
-// (Exchange), runs the coordinator through Tend, and opens the next window.
+// goroutines (a lone shard runs inline on the caller's); at the barrier
+// the main goroutine drains the hand-off rings (Exchange), runs the
+// coordinator through Tend, and opens the next window.
 // Because base is a minimum over all engines, the earliest event always
 // fires, so the loop makes progress even across idle gaps wider than the
 // lookahead.
@@ -139,8 +140,15 @@ func (g *ShardGroup) peekBase() (time.Duration, bool) {
 }
 
 // runWindow executes one parallel window: every shard runs through tend,
-// and the call returns only after all of them reach the barrier.
+// and the call returns only after all of them reach the barrier. A lone
+// shard runs inline on the caller's goroutine: there is no peer to
+// overlap with, and skipping the worker keeps one-shard runs free of
+// per-Run allocations.
 func (g *ShardGroup) runWindow(tend time.Duration) {
+	if len(g.Shards) == 1 {
+		g.Shards[0].Run(tend)
+		return
+	}
 	g.window.Add(len(g.workers))
 	for _, ch := range g.workers {
 		ch <- tend
@@ -153,7 +161,7 @@ func (g *ShardGroup) runWindow(tend time.Duration) {
 // owns all engines between the barrier and the next send (the WaitGroup
 // and channel operations order the hand-offs).
 func (g *ShardGroup) start() {
-	if g.workers != nil {
+	if g.workers != nil || len(g.Shards) == 1 {
 		return
 	}
 	g.workers = make([]chan time.Duration, len(g.Shards))

@@ -3,11 +3,12 @@ package eventsim
 import "math/rand"
 
 // NewStream derives an independent deterministic RNG from a base seed and a
-// stable entity key (a node ID, a link ID). Sharded runs give each switch
-// its own stream instead of sharing one engine RNG, because the interleaving
-// of draws from a shared generator would depend on which entities landed in
-// the same shard. Per-entity streams make every draw a pure function of
-// (seed, key, entity history), so results are identical for any shard count.
+// stable entity key (a node ID, a link ID). The simulator gives each switch
+// and lossy link its own stream instead of sharing one engine RNG, because
+// the interleaving of draws from a shared generator would depend on which
+// entities landed in the same shard. Per-entity streams make every draw a
+// pure function of (seed, key, entity history), so results are identical
+// for any shard count.
 //
 // Mixing is splitmix64's finalizer over seed XOR a key spread by the golden
 // ratio; adjacent keys land in uncorrelated regions of the sequence space.

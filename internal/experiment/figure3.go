@@ -75,9 +75,9 @@ type Figure3Config struct {
 	DisableObfuscation bool
 	DisableDropper     bool
 
-	// Shards selects the simulation engine: 0 runs the serial engine,
-	// K >= 1 runs the windowed sharded engine over a K-way partition.
-	// Results are identical for every K >= 1 (see DESIGN.md).
+	// Shards is how many ways the engine partitions the topology (values
+	// <= 0 mean 1). Results are byte-identical for every count (see
+	// DESIGN.md).
 	Shards int
 	// DisableBatch turns off same-instant delivery batching and
 	// StaticLookahead pins the window bound to base+minCutDelay. Both are
@@ -85,14 +85,6 @@ type Figure3Config struct {
 	// golden tests run every combination to prove it.
 	DisableBatch    bool
 	StaticLookahead bool
-	// Prebuilt, when non-nil, skips the topology build and reuses an
-	// already-attached topology (see BuildFig3Topology). The builders are
-	// deterministic, so a run over a prebuilt topology is byte-identical
-	// to one that builds its own; ffserved's engine pool relies on this
-	// to serve repeated scenario shapes from warm topologies. The graph
-	// is strictly read-only during a run, so one Prebuilt value may back
-	// any number of concurrent runs.
-	Prebuilt *Fig3Topology
 	// Fabrics, when non-nil, lets the run check a fully built warm fabric
 	// out instead of cold-building one (and check its own fabric back in
 	// afterwards). The run resets the checked-out fabric to its seed —
@@ -158,6 +150,9 @@ func (c *Figure3Config) fillDefaults() {
 	if c.LargeRegions > 0 && c.RegionSize == 0 {
 		c.RegionSize = 8
 	}
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
 }
 
 // fig3Topology is what Figure3 needs from a topology builder; both the
@@ -172,10 +167,8 @@ type fig3Topology interface {
 
 // Fig3Topology is a fully built Figure-3 topology: the graph with every
 // user, bot, and server host already attached. Construction is the only
-// phase that mutates the graph; a simulation run only ever reads it, so a
-// single Fig3Topology can back many runs — sequential or concurrent —
-// without affecting their results. ffserved's engine pool caches these as
-// "warm engines" keyed by topology shape.
+// phase that mutates the graph; a simulation run only ever reads it. A
+// warm fabric carries the Fig3Topology it was built over.
 type Fig3Topology struct {
 	G                    *topo.Graph
 	Users, Bots, Servers []topo.NodeID
@@ -201,19 +194,6 @@ func BuildFig3Topology(cfg Figure3Config) *Fig3Topology {
 	return bt
 }
 
-// TopologyKey is a canonical fingerprint of the topology a config builds
-// (after defaults have been applied): two configs with equal keys build
-// structurally identical topologies, so their runs can share one
-// Fig3Topology. ffserved's engine pool uses this as its cache key.
-func (c Figure3Config) TopologyKey() string {
-	c.fillDefaults()
-	if c.LargeRegions > 0 {
-		return fmt.Sprintf("multiregion/%dx%d/u%d.b%d.s%d",
-			c.LargeRegions, c.RegionSize, c.Users, c.Bots, c.Servers)
-	}
-	return fmt.Sprintf("figure2/u%d.b%d.s%d", c.Users, c.Bots, c.Servers)
-}
-
 // FabricKey is a canonical fingerprint of everything a config's fabric
 // build consumes except the seed (after defaults): the topology shape
 // plus every knob core.New reads — whether the defense is fielded,
@@ -225,8 +205,13 @@ func (c Figure3Config) TopologyKey() string {
 // SDN controller is scenario wiring layered on a defense-off fabric.
 func (c Figure3Config) FabricKey() string {
 	c.fillDefaults()
+	topology := fmt.Sprintf("figure2/u%d.b%d.s%d", c.Users, c.Bots, c.Servers)
+	if c.LargeRegions > 0 {
+		topology = fmt.Sprintf("multiregion/%dx%d/u%d.b%d.s%d",
+			c.LargeRegions, c.RegionSize, c.Users, c.Bots, c.Servers)
+	}
 	return fmt.Sprintf("%s/off%t.ob%t.dr%t.ra%t.k%d.nb%t.sl%t",
-		c.TopologyKey(), c.Defense != DefenseFastFlex,
+		topology, c.Defense != DefenseFastFlex,
 		c.DisableObfuscation, c.DisableDropper, c.RerouteAllOverride,
 		c.Shards, c.DisableBatch, c.StaticLookahead)
 }
@@ -273,13 +258,7 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 		}
 	}
 	if fab == nil {
-		bt = cfg.Prebuilt
-		if bt == nil {
-			bt = BuildFig3Topology(cfg)
-		} else if len(bt.Users) != cfg.Users || len(bt.Bots) != cfg.Bots || len(bt.Servers) != cfg.Servers {
-			panic(fmt.Sprintf("experiment: prebuilt topology has %d/%d/%d users/bots/servers, config wants %d/%d/%d",
-				len(bt.Users), len(bt.Bots), len(bt.Servers), cfg.Users, cfg.Bots, cfg.Servers))
-		}
+		bt = BuildFig3Topology(cfg)
 		var srvAddr []packet.Addr
 		for _, s := range bt.Servers {
 			srvAddr = append(srvAddr, packet.HostAddr(int(s)))
@@ -407,12 +386,6 @@ func fractionBelowBetween(s *metrics.Series, th float64, from, to time.Duration)
 // Figure3Compare runs all arms and assembles the side-by-side table the
 // paper's figure conveys.
 func Figure3Compare(base Figure3Config) *Result {
-	// Build (or reuse) the topology once and share it across the three
-	// arms: each arm only reads the graph, and the builders are
-	// deterministic, so this is byte-identical to per-arm builds.
-	if base.Prebuilt == nil {
-		base.Prebuilt = BuildFig3Topology(base)
-	}
 	res := &Result{Name: "Figure 3: FastFlex vs baseline under rolling LFA"}
 	tb := &metrics.Table{Header: []string{"defense", "stable Mbps", "attack mean", "degraded<80%", "rolls"}}
 	for _, d := range []Defense{DefenseNone, DefenseBaseline, DefenseFastFlex} {

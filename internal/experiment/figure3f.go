@@ -42,8 +42,8 @@ type Figure3fConfig struct {
 	// (defaults 12 / 4 / 24).
 	Users, Servers, Bots int
 	Seed                 int64
-	// Shards selects the engine (0 serial, K >= 1 windowed); results are
-	// K-invariant.
+	// Shards is the engine's shard count (values <= 0 mean 1); results
+	// are byte-identical for every count.
 	Shards int
 	// Fabrics, when non-nil, supplies warm fabrics exactly as
 	// Figure3Config.Fabrics does: each arm checks out a built fabric under
@@ -84,6 +84,9 @@ func (c *Figure3fConfig) fillDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
 }
 
 // Fig3fTopology is a fully built planet-scale topology with its host
@@ -98,8 +101,8 @@ type Fig3fTopology struct {
 }
 
 // buildFig3fTopology constructs the topology a figure3fRun over cfg
-// builds for itself; deterministic, so prebuilt and inline runs are
-// byte-identical.
+// builds for itself; deterministic, so warm and cold runs see the same
+// graph.
 func buildFig3fTopology(cfg Figure3fConfig) *Fig3fTopology {
 	m := topo.NewPlanetScale(cfg.Regions, cfg.BaseRing)
 	bt := &Fig3fTopology{M: m}

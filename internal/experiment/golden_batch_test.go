@@ -4,37 +4,20 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 )
 
-// runGoldenFig3Variant is runGoldenFig3/runGoldenFig3Sharded with the perf
-// knobs exposed: the same short FastFlex run with batching and/or the
-// adaptive lookahead switched off.
-func runGoldenFig3Variant(shards int, disableBatch, staticLookahead bool) *Figure3Result {
-	return Figure3(Figure3Config{
-		Defense:         DefenseFastFlex,
-		Duration:        14 * time.Second,
-		AttackStart:     7 * time.Second,
-		Seed:            7,
-		Shards:          shards,
-		DisableBatch:    disableBatch,
-		StaticLookahead: staticLookahead,
-	})
-}
-
-// TestFigure3BatchingGoldenIdentical pins the PR's central invariant: the
-// batched pipeline and the adaptive shard lookahead are pure performance
-// features. Turning either (or both) off must reproduce the committed
-// golden bytes exactly — same float64 bit patterns, same attacker rolls —
-// for the serial engine and for every shard count, under a single-threaded
-// and a parallel scheduler. The golden files are the ones the default
-// (batched, adaptive) configuration is already pinned to, so this test
-// transitively proves batched == unbatched and adaptive == static.
+// TestFigure3BatchingGoldenIdentical pins that the batched pipeline and
+// the adaptive shard lookahead are pure performance features. Turning
+// either (or both) off must reproduce the committed golden bytes exactly —
+// same float64 bit patterns, same attacker rolls — for every shard count
+// (0, the unset field, means one shard), under a single-threaded and a
+// parallel scheduler. The golden file is the one the default (batched,
+// adaptive) configuration is already pinned to, so this test transitively
+// proves batched == unbatched and adaptive == static.
 func TestFigure3BatchingGoldenIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var serial, sharded fig3Golden
-	readGolden(t, "fig3_golden.json", &serial)
-	readGolden(t, "fig3_sharded_golden.json", &sharded)
+	var want fig3Golden
+	readGolden(t, "fig3_golden.json", &want)
 
 	type variant struct {
 		disableBatch, staticLookahead bool
@@ -56,13 +39,10 @@ func TestFigure3BatchingGoldenIdentical(t *testing.T) {
 					if testing.Short() && (procs != 4 || shards == 1 || shards == 2) {
 						t.Skip("short mode runs the widest configurations only")
 					}
-					want := sharded
-					if shards == 0 {
-						want = serial
-					}
 					runtime.GOMAXPROCS(procs)
-					got := fig3GoldenOf(runGoldenFig3Variant(shards, v.disableBatch, v.staticLookahead))
-					compareFig3Golden(t, got, want)
+					cfg := goldenFig3Config()
+					cfg.Shards, cfg.DisableBatch, cfg.StaticLookahead = shards, v.disableBatch, v.staticLookahead
+					compareFig3Golden(t, fig3GoldenOf(Figure3(cfg)), want)
 				})
 			}
 		}

@@ -14,26 +14,21 @@ import (
 // Reset-vs-fresh byte identity: the warm-fabric reuse layer's entire
 // contract is that running a reset fabric is indistinguishable — to the
 // last float64 bit — from running a freshly built one at the same seed.
-// These tests pin that against the SAME golden files the cold path is
-// pinned to (fig3_golden.json, fig3_sharded_golden.json): a warm run must
-// reproduce bytes that were recorded before the reset layer existed.
+// These tests pin that against the SAME golden file the cold path is
+// pinned to (fig3_golden.json): a warm run must reproduce bytes that were
+// recorded before the reset layer existed.
 
 // warmFig3 runs the golden Figure-3 configuration at seed through a
 // fabric source (nil = cold).
 func warmFig3(seed int64, shards int, fabrics FabricSource) *Figure3Result {
-	return Figure3(Figure3Config{
-		Defense:     DefenseFastFlex,
-		Duration:    14 * time.Second,
-		AttackStart: 7 * time.Second,
-		Seed:        seed,
-		Shards:      shards,
-		Fabrics:     fabrics,
-	})
+	cfg := goldenFig3Config()
+	cfg.Seed, cfg.Shards, cfg.Fabrics = seed, shards, fabrics
+	return Figure3(cfg)
 }
 
-// TestFigure3ResetVsFreshIdentical pins the serial engine's reset
-// contract: a run on a fabric that already carried a different seed's run
-// must be byte-identical to the recorded fresh-build golden.
+// TestFigure3ResetVsFreshIdentical pins the reset contract of the default
+// configuration: a run on a fabric that already carried a different seed's
+// run must be byte-identical to the recorded fresh-build golden.
 func TestFigure3ResetVsFreshIdentical(t *testing.T) {
 	var want fig3Golden
 	readGolden(t, "fig3_golden.json", &want)
@@ -89,12 +84,12 @@ func TestFigure3TripleReuseGolden(t *testing.T) {
 // TestFigure3ResetShardedGoldenIdentical pins the windowed engine's reset
 // contract across the same grid the fresh-build golden is pinned on:
 // shard counts {1,2,4} × GOMAXPROCS {1,4}, every cell a warm re-run that
-// must reproduce fig3_sharded_golden.json exactly. Shard engines, SPSC
+// must reproduce fig3_golden.json exactly. Shard engines, SPSC
 // rings, per-entity RNG streams, and rank owners all rewind under reset.
 func TestFigure3ResetShardedGoldenIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want fig3Golden
-	readGolden(t, "fig3_sharded_golden.json", &want)
+	readGolden(t, "fig3_golden.json", &want)
 	for _, procs := range []int{1, 4} {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("procs=%d/shards=%d", procs, shards), func(t *testing.T) {
@@ -127,7 +122,7 @@ func TestFigure3fResetVsFreshIdentical(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			if testing.Short() && shards != 0 {
-				t.Skip("short mode runs the serial engine only")
+				t.Skip("short mode runs one shard only")
 			}
 			c := cfg
 			c.Shards = shards

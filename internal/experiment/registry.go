@@ -28,11 +28,11 @@ type Def struct {
 	WarmShortRun func(seed int64, fabrics FabricSource) *Result
 }
 
-// DefaultShards is the engine shard count experiments use when they are
-// run through the registry. ffbench's -shards flag sets it; 0 keeps the
-// serial engine. Sharded and serial runs of the same experiment produce
-// different (but internally K-invariant) event interleavings, so goldens
-// are pinned per mode.
+// DefaultShards is the engine shard count registry experiments that take
+// one (fig3x, fig3f, a6) run with. ffbench's and ffserved's -shards flags
+// set it; values <= 0, the zero value included, mean 1. Results are
+// byte-identical for every count, so it only trades barrier overhead
+// against parallelism.
 var DefaultShards int
 
 // Fig3Scenario returns the exact Figure3Config behind a registry Figure-3
@@ -41,7 +41,7 @@ var DefaultShards int
 // regions feed the victim region over the backbone, with enough bots that
 // most simulated work happens outside the victim region). Other front ends
 // (ffserved) call this to rebuild the same run — optionally over a
-// prebuilt warm topology — without duplicating these numbers, which is
+// warm fabric — without duplicating these numbers, which is
 // what keeps API results byte-identical to ffbench's. short selects the
 // cut-down CI variant: the horizon shrinks from 120 s to 30 s of simulated
 // time, long enough for the attack to land and the defense to respond so

@@ -11,7 +11,8 @@ import "fastflex/internal/core"
 // golden_reset_test.go), which turns a finished run's fabric into a warm
 // spare for the next run of the same shape. The types here are the seam
 // front ends share: the Runner hands each worker a private FabricCache,
-// and ffserved's pool implements FabricSource with exclusive leases.
+// and ffserved's pool wraps one FabricCache in a mutex and lease
+// accounting.
 
 // WarmFabric couples a built fabric with the topology it was built over
 // and the FabricKey identifying its build-time configuration. The Topo
@@ -40,12 +41,13 @@ type FabricSource interface {
 	Checkin(wf *WarmFabric)
 }
 
-// FabricCache is a worker-local FabricSource: an LRU-bounded map of idle
-// warm fabrics. It is deliberately NOT safe for concurrent use — each
-// Runner worker owns one, which keeps reuse strictly worker-local and
-// preserves the concurrency boundary (no simulation object ever crosses
-// goroutines). Checkout removes the entry, so even a buggy double-checkout
-// of one key yields two independent fabrics, never a shared one.
+// FabricCache is a FabricSource holding an LRU-bounded map of idle warm
+// fabrics. It is deliberately NOT safe for concurrent use — each Runner
+// worker owns one, which keeps reuse strictly worker-local and preserves
+// the concurrency boundary (no simulation object ever crosses goroutines);
+// ffserved's pool guards its one cache with a mutex. Checkout removes the
+// entry, so even a buggy double-checkout of one key yields two independent
+// fabrics, never a shared one.
 type FabricCache struct {
 	// Max bounds retained idle fabrics (default 4 when constructed with
 	// NewFabricCache): a worker sweeping seeds touches few distinct shapes,
@@ -54,7 +56,8 @@ type FabricCache struct {
 	entries map[string]*WarmFabric
 	order   []string // LRU order: least recently used first
 
-	Hits, Misses uint64
+	// Evictions counts idle fabrics dropped by the Max bound.
+	Hits, Misses, Evictions uint64
 }
 
 // NewFabricCache returns a cache bounded to max idle fabrics (<=0 takes
@@ -101,8 +104,12 @@ func (c *FabricCache) Checkin(wf *WarmFabric) {
 	if len(c.order) > c.Max {
 		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
+		c.Evictions++
 	}
 }
+
+// Len returns the number of idle fabrics in the cache.
+func (c *FabricCache) Len() int { return len(c.entries) }
 
 func (c *FabricCache) remove(key string) {
 	for i, k := range c.order {

@@ -38,9 +38,9 @@ func compareFingerprints(t *testing.T, label string, got, want shardFingerprint,
 
 // TestBatchingDisabledIdentical pins the tentpole's byte-identity claim at
 // the netsim level: fusing same-instant delivery events into batches must
-// be invisible — the serial engine and every shard count produce exactly
-// the same counters, goodput, and per-link statistics with batching on or
-// off. Fusion only coalesces events already adjacent in pop order, so any
+// be invisible — every shard count (0, the unset field, means 1) produces
+// exactly the same counters, goodput, and per-link statistics with
+// batching on or off. Fusion only coalesces events already adjacent in pop order, so any
 // divergence here means a batch reordered observable work.
 func TestBatchingDisabledIdentical(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {

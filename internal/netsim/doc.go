@@ -6,13 +6,17 @@
 // Layer (DESIGN.md §2): sits on eventsim, topo, packet, and dataplane;
 // boosters, state, attack, and experiment build on it.
 //
-// Determinism contract: a Network is single-threaded — everything runs as
-// eventsim callbacks on one engine, and the only randomness is the
-// engine's seeded RNG (loss injection, source phase desync). Same seed,
-// same event trace, byte-identical results. Concurrency lives strictly
-// above this package, in experiment.Runner, which runs independent
-// Networks on separate goroutines; nothing here may spawn goroutines
-// (enforced by ffvet's determinism analyzer).
+// Determinism contract: a Network runs as eventsim callbacks on per-shard
+// engines plus a coordinator engine, synchronized by an
+// eventsim.ShardGroup in conservative windows (one shard by default; a
+// lone shard runs inline on the caller's goroutine). Randomness comes from
+// seeded streams: per switch (pipeline draws), per lossy link (loss
+// injection), and the coordinator's RNG for setup-time draws (source phase
+// desync, traceroute bases). Same seed, byte-identical results, for every
+// shard count. Beyond the shard workers, concurrency lives above this
+// package, in experiment.Runner, which runs independent Networks on
+// separate goroutines; ffvet's determinism analyzer confines goroutines
+// and channel operations to the exempt shard-runtime functions.
 //
 // Beside the packet substrate, Config.Fluid enables rate-based fluid
 // background flows (NewFluidFlow): aggregate traffic advanced

@@ -96,12 +96,11 @@ type linkState struct {
 	sh       *shardState
 	dstShard int
 	cross    bool
-	// rank mints this link's merge ranks (windowed mode). Both branches
-	// of transmitNext draw the same number of ranks in the same order,
-	// so the stream is identical however the topology is partitioned.
+	// rank mints this link's merge ranks. Both branches of transmitNext
+	// draw the same number of ranks in the same order, so the stream is
+	// identical however the topology is partitioned.
 	rank eventsim.RankOwner
-	// rng is the per-link loss stream (windowed mode only, created on
-	// first SetLinkLoss; serial mode draws from the engine RNG).
+	// rng is the per-link loss stream, created on first SetLinkLoss.
 	rng *rand.Rand
 
 	// Preallocated event callbacks, one pair per link, so per-packet
@@ -125,7 +124,7 @@ func newLinkState(n *Network, l topo.Link) *linkState {
 	ls := &linkState{net: n, link: l, smoothedUtil: sketch.NewEWMA(n.Cfg.UtilAlpha)}
 	ls.sh = n.shards[n.shardOf[l.From]]
 	ls.dstShard = int(n.shardOf[l.To])
-	ls.cross = n.windowed && ls.sh.idx != ls.dstShard
+	ls.cross = ls.sh.idx != ls.dstShard
 	ls.rank = eventsim.NewRankOwner(uint64(len(n.G.Nodes)) + uint64(l.ID))
 	ls.txDone = ls.transmitNext
 	// Arrivals are FIFO: transmissions serialize on the link and every
@@ -150,13 +149,7 @@ func newLinkState(n *Network, l topo.Link) *linkState {
 // barrier when the coordinator injects traffic.
 func (ls *linkState) enqueue(pkt *packet.Packet) {
 	if ls.lossRate > 0 {
-		var draw float64
-		if ls.net.windowed {
-			draw = ls.rng.Float64()
-		} else {
-			draw = ls.net.Eng.RNG().Float64()
-		}
-		if draw < ls.lossRate {
+		if ls.rng.Float64() < ls.lossRate {
 			ls.drops++
 			ls.sh.dropsLoss++
 			ls.sh.freePacket(pkt)
@@ -238,34 +231,27 @@ func (ls *linkState) transmitNext() {
 		}
 	}
 	prop := time.Duration(ls.link.DelayNS)
-	if ls.net.windowed {
-		// Draw both ranks up front, in the same order for local and
-		// cross-shard deliveries, so the link's rank stream advances
-		// identically however the topology is partitioned.
-		txR := ls.rank.Next()
-		dlR := ls.rank.Next()
-		ls.sh.eng.AfterRank(tx, txR, ls.txDone)
-		if ls.cross {
-			// Hand the delivery to the far shard at its exact merge
-			// position. tx >= 1ns plus prop >= the group lookahead puts
-			// the arrival strictly beyond the current window, which is
-			// what makes the barrier protocol conservative.
-			ls.sh.out[ls.dstShard].push(handoff{
-				at:   ls.sh.eng.Now() + tx + prop,
-				rank: dlR,
-				link: ls.link.ID,
-				pkt:  pkt,
-			})
-		} else {
-			ls.inflight.push(pkt)
-			ev := ls.sh.eng.AfterRank(tx+prop, dlR, ls.deliver)
-			ev.Class, ev.Key = classDeliver, int32(ls.link.ID)
-		}
+	// Draw both ranks up front, in the same order for local and
+	// cross-shard deliveries, so the link's rank stream advances
+	// identically however the topology is partitioned.
+	txR := ls.rank.Next()
+	dlR := ls.rank.Next()
+	ls.sh.eng.AfterRank(tx, txR, ls.txDone)
+	if ls.cross {
+		// Hand the delivery to the far shard at its exact merge position.
+		// tx >= 1ns plus prop >= the group lookahead puts the arrival
+		// strictly beyond the current window, which is what makes the
+		// barrier protocol conservative.
+		ls.sh.out[ls.dstShard].push(handoff{
+			at:   ls.sh.eng.Now() + tx + prop,
+			rank: dlR,
+			link: ls.link.ID,
+			pkt:  pkt,
+		})
 		return
 	}
 	ls.inflight.push(pkt)
-	ls.net.Eng.After(tx, ls.txDone)
-	ev := ls.net.Eng.After(tx+prop, ls.deliver)
+	ev := ls.sh.eng.AfterRank(tx+prop, dlR, ls.deliver)
 	ev.Class, ev.Key = classDeliver, int32(ls.link.ID)
 }
 

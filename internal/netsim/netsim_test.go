@@ -57,8 +57,15 @@ func TestDeliverySingleHop(t *testing.T) {
 
 func TestDeliveryLatency(t *testing.T) {
 	n, h0, h1 := twoHostLine(t)
+	// Network.Now is the coordinator clock, which inside a shard event
+	// reads the last barrier; the Tracer reports the arriving shard's own
+	// clock.
 	var deliveredAt time.Duration
-	n.Host(h1).OnSink(func(*packet.Packet) { deliveredAt = n.Now() })
+	n.Tracer = func(now time.Duration, at topo.NodeID, _ *packet.Packet) {
+		if at == h1 {
+			deliveredAt = now
+		}
+	}
 	p := &packet.Packet{Src: packet.HostAddr(int(h0)), Dst: packet.HostAddr(int(h1)),
 		TTL: 64, Proto: packet.ProtoUDP, PayloadLen: 1000}
 	n.SendFromHost(h0, p)

@@ -23,13 +23,11 @@ type Config struct {
 	UtilAlpha float64
 	// Seed seeds the simulation RNG.
 	Seed int64
-	// Shards selects the engine. Zero runs the original serial engine
-	// (byte-compatible with all pre-sharding results). Any value >= 1
-	// runs the windowed parallel engine over a topo.Partition into that
-	// many shards; windowed results are byte-identical for every shard
-	// count (including 1), but differ from the serial engine because
-	// RNG draws come from per-entity streams instead of one shared
-	// engine RNG.
+	// Shards is how many ways the windowed engine partitions the
+	// topology (topo.Partition); values <= 0 mean one shard. Results are
+	// byte-identical for every shard count: RNG draws come from
+	// per-entity streams and equal-time events merge by per-entity rank,
+	// so nothing depends on the partition.
 	Shards int
 	// DisableBatch turns off same-instant delivery fusion, forcing one
 	// event-loop round trip per packet. Results are byte-identical either
@@ -38,7 +36,7 @@ type Config struct {
 	// the difference. Batching also self-disables while a Tracer is
 	// attached, keeping the per-arrival hook exact.
 	DisableBatch bool
-	// StaticLookahead forces windowed runs back to the fixed
+	// StaticLookahead forces runs back to the fixed
 	// min-cut-delay window width instead of the adaptive per-barrier
 	// bound computed from quiescent cut links. Results are byte-identical
 	// either way (windows are pure synchronization points); the knob
@@ -79,10 +77,9 @@ type hopEvent struct {
 // Network is a running simulation instance.
 type Network struct {
 	// Eng is the coordinator engine: control-timescale work (tickers,
-	// samplers, controllers, experiment scripting) runs here. In serial
-	// mode it is also the (only) simulation engine; in windowed mode it
-	// executes at barriers while the shard engines are parked, so its
-	// callbacks may touch any shard's state.
+	// samplers, controllers, experiment scripting) runs here. It executes
+	// at barriers while the shard engines are parked, so its callbacks
+	// may touch any shard's state.
 	Eng *eventsim.Engine
 	G   *topo.Graph
 	Cfg Config
@@ -95,18 +92,16 @@ type Network struct {
 	hosts    []*Host
 	links    []*linkState
 
-	// Sharding state. Serial mode is one shardState wrapping Eng, so the
-	// hot path is identical in both modes; windowed mode partitions the
-	// topology and gives every shard its own engine, pools, and counters.
-	windowed bool
-	shards   []*shardState
-	shardOf  []int32 // NodeID -> shard index
-	group    *eventsim.ShardGroup
-	part     *topo.Shards
+	// Sharding state: the topology partition, and per shard its own
+	// engine, pools, and counters.
+	shards  []*shardState
+	shardOf []int32 // NodeID -> shard index
+	group   *eventsim.ShardGroup
+	part    *topo.Shards
 
-	// Windowed-mode determinism state: per-switch RNG streams and merge-
-	// rank counters, so pipeline randomness and equal-time event order
-	// are pure functions of per-entity history (partition-invariant).
+	// Determinism state: per-switch RNG streams and merge-rank counters,
+	// so pipeline randomness and equal-time event order are pure
+	// functions of per-entity history (partition-invariant).
 	swRNG  []*rand.Rand
 	swRank []eventsim.RankOwner
 	// nextOwnerKey mints merge-rank keys for traffic sources; node and
@@ -123,9 +118,10 @@ type Network struct {
 	utilTicker *eventsim.Ticker
 
 	// Tracer, if set, observes every packet arrival at a node (debugging
-	// and assertion hooks in tests). Attaching a tracer disables packet
-	// recycling so traced packets may be retained. Tracing is serial-only:
-	// windowed runs would invoke it concurrently from shard goroutines.
+	// and assertion hooks in tests), with the arriving shard's clock.
+	// Attaching a tracer disables packet recycling so traced packets may
+	// be retained. Tracing needs a one-shard network: with more shards it
+	// would run concurrently on several shard goroutines.
 	Tracer func(now time.Duration, at topo.NodeID, pkt *packet.Packet)
 }
 
@@ -186,38 +182,27 @@ func New(g *topo.Graph, cfg Config) *Network {
 	return n
 }
 
-// setupShards builds the shard runtime: one shardState in serial mode,
-// or a partition with per-shard engines, hand-off rings, per-switch RNG
-// streams, and a window scheduler in windowed mode.
+// setupShards builds the shard runtime: a partition with per-shard
+// engines, hand-off rings, per-switch RNG streams, and a window scheduler.
 func (n *Network) setupShards(cfg Config) {
 	g := n.G
-	n.windowed = cfg.Shards >= 1
+	n.part = topo.Partition(g, max(cfg.Shards, 1))
+	k := n.part.K
 	n.shardOf = make([]int32, len(g.Nodes))
-	k := 1
-	if n.windowed {
-		n.part = topo.Partition(g, cfg.Shards)
-		k = n.part.K
-		for i, s := range n.part.Of {
-			n.shardOf[i] = int32(s)
-		}
+	for i, s := range n.part.Of {
+		n.shardOf[i] = int32(s)
 	}
 	n.shards = make([]*shardState, k)
 	for i := range n.shards {
-		sh := &shardState{n: n, idx: i, eng: n.Eng}
-		if n.windowed {
-			// Shard engines never draw from their own RNG (per-entity
-			// streams replace it), but distinct seeds keep any future
-			// misuse from aliasing across shards.
-			sh.eng = eventsim.New(cfg.Seed + int64(i) + 1)
-			sh.eng.RequireRank()
-		}
+		// Shard engines never draw from their own RNG (per-entity streams
+		// replace it), but distinct seeds keep any future misuse from
+		// aliasing across shards.
+		sh := &shardState{n: n, idx: i, eng: eventsim.New(cfg.Seed + int64(i) + 1)}
+		sh.eng.RequireRank()
 		sh.batchDone = sh.makeBatchDone()
 		n.shards[i] = sh
 	}
 	n.nextOwnerKey = uint64(len(g.Nodes)) + uint64(len(g.Links))
-	if !n.windowed {
-		return
-	}
 	for _, sh := range n.shards {
 		sh.out = make([]*handoffRing, k)
 		for d := range sh.out {
@@ -347,23 +332,19 @@ func (n *Network) Router(id topo.NodeID) *dataplane.Router {
 	return r
 }
 
-// Run advances the simulation to the given horizon: serially on the
-// coordinator engine, or in parallel conservative windows when sharded.
+// Run advances the simulation to the given horizon in conservative
+// windows: shard engines in parallel, the coordinator at the barriers.
 func (n *Network) Run(horizon time.Duration) {
-	if n.windowed {
-		if n.Tracer != nil {
-			panic("netsim: Tracer is serial-only; windowed runs would invoke it from shard goroutines")
-		}
-		// Setup code runs in coordinator context outside any barrier, so
-		// hand-offs it emitted (cross-cut traffic injection, fluid rate
-		// programs) are still sitting in the rings, invisible to the
-		// window-bound computation. Drain them into their destination
-		// engines first — the main goroutine owns every engine here.
-		n.exchange()
-		n.group.Run(horizon)
-		return
+	if n.Tracer != nil && len(n.shards) > 1 {
+		panic("netsim: Tracer needs a one-shard network; more shards would invoke it from several goroutines")
 	}
-	n.Eng.Run(horizon)
+	// Setup code runs in coordinator context outside any barrier, so
+	// hand-offs it emitted (cross-cut traffic injection, fluid rate
+	// programs) are still sitting in the rings, invisible to the
+	// window-bound computation. Drain them into their destination engines
+	// first — the main goroutine owns every engine here.
+	n.exchange()
+	n.group.Run(horizon)
 }
 
 // Delivered returns the number of packets delivered to hosts.
@@ -427,10 +408,8 @@ func (n *Network) DropsLoss() uint64 {
 // dividing it by wall time gives the engine's events/sec throughput.
 func (n *Network) EventsFired() uint64 {
 	t := n.Eng.Fired()
-	if n.windowed {
-		for _, sh := range n.shards {
-			t += sh.eng.Fired()
-		}
+	for _, sh := range n.shards {
+		t += sh.eng.Fired()
 	}
 	return t
 }
@@ -447,7 +426,10 @@ func (n *Network) PacketsProcessed() uint64 {
 	return t
 }
 
-// Now returns the current virtual time.
+// Now returns the coordinator's virtual time. Outside Run and in
+// coordinator callbacks that is the simulation time; inside a shard event
+// (a packet arrival, a host sink) it is the last barrier, which may lag
+// the shard's own clock.
 func (n *Network) Now() time.Duration { return n.Eng.Now() }
 
 // LinkLoad returns the smoothed utilization (0..1+) of a link.
@@ -468,12 +450,12 @@ func (n *Network) QueueDepth(l topo.LinkID) int { return n.links[l].queuedBytes 
 
 // SetLinkLoss injects random loss on a directed link (fault injection for
 // FEC and fault-tolerance experiments). p is the per-packet drop
-// probability in [0,1]. Windowed runs draw loss from a per-link stream so
-// the draw sequence depends only on the link's own traffic.
+// probability in [0,1]. Loss draws come from a per-link stream, so the
+// draw sequence depends only on the link's own traffic.
 func (n *Network) SetLinkLoss(l topo.LinkID, p float64) {
 	ls := n.links[l]
 	ls.lossRate = p
-	if n.windowed && p > 0 && ls.rng == nil {
+	if p > 0 && ls.rng == nil {
 		ls.rng = eventsim.NewStream(n.Cfg.Seed, uint64(len(n.G.Nodes))+uint64(l))
 	}
 }
@@ -549,7 +531,7 @@ func (n *Network) deliverRun(ls *linkState) {
 // drainBatch plays a fused run of arrivals in pop order: hosts receive
 // singly, and maximal spans of consecutive packets bound for the same
 // switch run through the batched pipeline entry. Per-packet side effects
-// (counters, emissions, forwarding) happen in exactly the order the serial
+// (counters, emissions, forwarding) happen in exactly the order the unfused
 // event loop would produce, so fusion is invisible to every observer.
 //
 //ffvet:hotpath
@@ -590,11 +572,7 @@ func (n *Network) processSwitchRun(sh *shardState, id topo.NodeID, lo, hi int) {
 	ctx := sh.getCtx()
 	ctx.Now = sh.eng.Now()
 	ctx.Switch = id
-	if n.windowed {
-		ctx.RNG = n.swRNG[id]
-	} else {
-		ctx.RNG = n.Eng.RNG()
-	}
+	ctx.RNG = n.swRNG[id]
 	sh.batchCtx = ctx
 	sh.batchSwitch = id
 	sw.ProcessBatch(ctx, &sh.batch, lo, hi, sh.batchDone)
@@ -649,13 +627,9 @@ func (n *Network) processAtSwitch(id topo.NodeID, pkt *packet.Packet, in topo.Li
 	ctx.Switch = id
 	ctx.InLink = in
 	ctx.Pkt = pkt
-	if n.windowed {
-		// Per-switch stream: pipeline randomness depends only on this
-		// switch's packet history, never on the partition.
-		ctx.RNG = n.swRNG[id]
-	} else {
-		ctx.RNG = n.Eng.RNG()
-	}
+	// Per-switch stream: pipeline randomness depends only on this
+	// switch's packet history, never on the partition.
+	ctx.RNG = n.swRNG[id]
 	ctx.Modes = sw.Modes()
 	ctx.OutLink = -1
 	verdict := sw.Process(ctx)
@@ -706,11 +680,7 @@ func (n *Network) scheduleHop(sh *shardState, id topo.NodeID, out topo.LinkID, p
 		}
 	}
 	h.out, h.pkt = out, pkt
-	if n.windowed {
-		sh.eng.AfterRank(n.Cfg.SwitchLatency, n.swRank[id].Next(), h.fire)
-	} else {
-		n.Eng.After(n.Cfg.SwitchLatency, h.fire)
-	}
+	sh.eng.AfterRank(n.Cfg.SwitchLatency, n.swRank[id].Next(), h.fire)
 }
 
 func (n *Network) dispatchEmission(at topo.NodeID, em dataplane.Emission, in topo.LinkID, depth int) {

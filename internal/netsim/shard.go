@@ -15,7 +15,6 @@ import (
 // state: an engine, the hot-path pools, and the drop/delivery counters.
 // Everything here is touched only by the shard's goroutine during a
 // window, or by the main goroutine at a barrier — never both at once.
-// A serial Network is exactly one shardState whose engine is n.Eng.
 type shardState struct {
 	n   *Network
 	idx int
@@ -35,8 +34,7 @@ type shardState struct {
 	batchSwitch topo.NodeID
 	batchDone   func(k int, v dataplane.Verdict)
 
-	// out[d] carries hand-offs to shard d; nil on the diagonal and in
-	// serial mode.
+	// out[d] carries hand-offs to shard d; nil on the diagonal.
 	out []*handoffRing
 
 	// Drop/delivery accounting. Global totals are sums over shards, read
@@ -47,16 +45,6 @@ type shardState struct {
 	dropsDown     uint64
 	dropsLoss     uint64
 	delivered     uint64
-}
-
-// after schedules fn on the shard's engine: ranked in windowed mode (merge
-// order must not depend on the partition), plain in serial mode (byte-
-// compatible with the pre-sharding event order).
-func (sh *shardState) after(d time.Duration, o *eventsim.RankOwner, fn func()) *eventsim.Event {
-	if sh.n.windowed {
-		return sh.eng.AfterRank(d, o.Next(), fn)
-	}
-	return sh.eng.After(d, fn)
 }
 
 // makeBatchDone builds the shard's per-packet batch epilogue: the exact
@@ -277,27 +265,15 @@ func (n *Network) newRankOwner() eventsim.RankOwner {
 	return eventsim.NewRankOwner(k)
 }
 
-// Shards returns the number of shards (1 in serial mode).
+// Shards returns the number of shards.
 func (n *Network) Shards() int { return len(n.shards) }
 
-// Windowed reports whether the network runs the windowed parallel engine.
-func (n *Network) Windowed() bool { return n.windowed }
-
-// Lookahead returns the conservative window width (0 in serial mode).
-func (n *Network) Lookahead() time.Duration {
-	if n.group == nil {
-		return 0
-	}
-	return n.group.Lookahead
-}
+// Lookahead returns the static conservative window width (0 with one
+// shard: no link crosses a cut, so windows are unbounded).
+func (n *Network) Lookahead() time.Duration { return n.group.Lookahead }
 
 // Windows returns the number of barrier windows executed so far.
-func (n *Network) Windows() uint64 {
-	if n.group == nil {
-		return 0
-	}
-	return n.group.Windows
-}
+func (n *Network) Windows() uint64 { return n.group.Windows }
 
-// ShardOf returns the shard index owning a node (0 in serial mode).
+// ShardOf returns the shard index owning a node.
 func (n *Network) ShardOf(id topo.NodeID) int { return int(n.shardOf[id]) }

@@ -185,19 +185,3 @@ func TestWindowedCrossShardTraffic(t *testing.T) {
 		t.Fatal("windowed run executed no barrier windows")
 	}
 }
-
-// TestSerialModeUnchanged pins that Shards=0 still runs on the coordinator
-// engine with one shard slice (the pre-sharding serial path).
-func TestSerialModeUnchanged(t *testing.T) {
-	g := topo.NewLinear(2)
-	h0 := g.AttachHost(0, "a", 1e9, 1000)
-	g.AttachHost(1, "b", 1e9, 1000)
-	n := New(g, DefaultConfig())
-	if n.Windowed() || n.Shards() != 1 || n.Windows() != 0 {
-		t.Fatalf("serial mode misconfigured: windowed=%v shards=%d", n.Windowed(), n.Shards())
-	}
-	if n.shards[0].eng != n.Eng {
-		t.Fatal("serial shard must wrap the coordinator engine")
-	}
-	_ = h0
-}

@@ -23,7 +23,7 @@ type CBRSource struct {
 	rateBps float64
 
 	// sh is the host's shard: the send timer lives on its engine, and
-	// rank mints the timer's merge ranks in windowed mode.
+	// rank mints the timer's merge ranks.
 	sh   *shardState
 	rank eventsim.RankOwner
 
@@ -103,7 +103,7 @@ func (s *CBRSource) scheduleNext(first bool) {
 		// coordinator RNG keeps the draw partition-invariant.
 		iv = time.Duration(s.net.Eng.RNG().Int63n(int64(iv) + 1))
 	}
-	s.pending = s.sh.after(iv, &s.rank, s.arming)
+	s.pending = s.sh.eng.AfterRank(iv, s.rank.Next(), s.arming)
 }
 
 func (s *CBRSource) emit() {
@@ -138,7 +138,7 @@ type AIMDSource struct {
 	payload uint16
 
 	// sh is the host's shard: RTO timers live on its engine, and rank
-	// mints their merge ranks in windowed mode.
+	// mints their merge ranks.
 	sh   *shardState
 	rank eventsim.RankOwner
 
@@ -277,7 +277,7 @@ func (s *AIMDSource) transmit(seq uint32) {
 		t.seq = seq
 		s.inflight[seq] = t
 	}
-	t.ev = s.sh.after(s.rto(), &s.rank, t.fire)
+	t.ev = s.sh.eng.AfterRank(s.rto(), s.rank.Next(), t.fire)
 	t.sendTime = s.sh.eng.Now()
 	s.net.SendFromHost(s.host, p)
 }

@@ -28,10 +28,6 @@ type Config struct {
 	// MaxJobs bounds retained finished-job records (default 1024); the
 	// oldest finished jobs are evicted first.
 	MaxJobs int
-	// Shards is the daemon-wide engine shard count registry experiments
-	// run with, mirroring ffbench -shards. cmd/ffserved also assigns it
-	// to experiment.DefaultShards at startup, before any job runs.
-	Shards int
 	// Defs is the experiment registry served (default
 	// experiment.Registry()). Tests inject panicking or slow definitions
 	// here.

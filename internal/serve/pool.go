@@ -9,13 +9,17 @@ import (
 // enginePool caches warm, fully built *fabrics* keyed by their build
 // configuration (experiment.Figure3Config.FabricKey and friends), so a
 // daemon serving many tenants does not cold-build switches, routers,
-// dense FIBs, and compiled pipelines per request. Unlike the read-only
-// topologies this pool held before the deterministic-reset layer, a
-// fabric is live simulation state: an entry is exclusively LEASED to one
-// run at a time — checkout removes it from the pool, checkin returns it.
-// Concurrent same-key jobs simply miss and cold-build, exactly as a cold
-// daemon would (their fabrics are all checked in afterwards; the pool
-// keeps one per key and drops the rest).
+// dense FIBs, and compiled pipelines per request. A fabric is live
+// simulation state: an entry is exclusively LEASED to one run at a time —
+// checkout removes it from the pool, checkin returns it. Concurrent
+// same-key jobs simply miss and cold-build, exactly as a cold daemon would
+// (their fabrics are all checked in afterwards; the pool keeps one per key
+// and drops the rest).
+//
+// The idle set is the same experiment.FabricCache the Runner gives each
+// worker — LRU-bounded, so under a one-off scan of cold shapes the
+// repeatedly leased hot shapes stay resident — guarded here by a mutex
+// and wrapped in lease accounting for /metrics.
 //
 // On checkin the fabric is reset (core.(*Fabric).Reset), which both
 // validates it is reusable — a reconfigured fabric is refused and
@@ -23,39 +27,28 @@ import (
 // turnaround is one more cheap reset to the run's seed. Runs over a
 // pooled fabric are byte-identical to cold builds (the reset contract,
 // pinned by experiment's reset-vs-fresh goldens).
-//
-// The idle set is bounded with LRU eviction: under a one-off scan of cold
-// shapes, the repeatedly leased hot shapes stay resident because every
-// checkin refreshes recency; the previous FIFO order evicted them first.
 type enginePool struct {
 	mu      sync.Mutex
-	max     int
-	idle    map[string]*experiment.WarmFabric
-	order   []string       // LRU order over idle keys: least recently used first
+	idle    *experiment.FabricCache
 	leased  map[string]int // checkouts (incl. misses now building) not yet checked in
 	leasedN int            // sum over leased, kept inline for the /metrics gauge
 
-	hits, misses, evictions uint64
-	resets, resetFailures   uint64
-	leaseBusy               uint64 // misses while the key's fabric was leased out
+	resets, resetFailures uint64
+	leaseBusy             uint64 // misses while the key's fabric was leased out
 }
 
 // poolResetSeed is the seed idle fabrics are parked at. Arbitrary: every
 // checkout resets again to the run's own seed.
 const poolResetSeed = 1
 
-func newEnginePool(max int) *enginePool {
-	if max < 1 {
-		max = 1
-	}
+func newEnginePool(size int) *enginePool {
 	return &enginePool{
-		max:    max,
-		idle:   make(map[string]*experiment.WarmFabric),
+		idle:   experiment.NewFabricCache(max(size, 1)),
 		leased: make(map[string]int),
 	}
 }
 
-// checkout leases the warm fabric under key to the caller, or returns nil
+// Checkout leases the warm fabric under key to the caller, or returns nil
 // when none is idle (cold or currently leased) — the caller builds its
 // own and checks it in afterwards.
 func (p *enginePool) Checkout(key string) *experiment.WarmFabric {
@@ -63,21 +56,14 @@ func (p *enginePool) Checkout(key string) *experiment.WarmFabric {
 	defer p.mu.Unlock()
 	p.leased[key]++
 	p.leasedN++
-	wf := p.idle[key]
-	if wf == nil {
-		p.misses++
-		if p.leased[key] > 1 {
-			p.leaseBusy++
-		}
-		return nil
+	wf := p.idle.Checkout(key)
+	if wf == nil && p.leased[key] > 1 {
+		p.leaseBusy++
 	}
-	p.hits++
-	delete(p.idle, key)
-	p.removeLocked(key)
 	return wf
 }
 
-// checkin returns a fabric — leased or freshly built — to the idle set.
+// Checkin returns a fabric — leased or freshly built — to the idle set.
 // The reset runs before the pool lock is taken: until the entry is
 // published the caller still owns the fabric exclusively. Fabrics that
 // refuse the reset, or lose the one-idle-entry-per-key race, are dropped.
@@ -98,25 +84,7 @@ func (p *enginePool) Checkin(wf *experiment.WarmFabric) {
 		return
 	}
 	p.resets++
-	if _, ok := p.idle[wf.Key]; ok {
-		return // a sibling build already parked one; interchangeable, drop this copy
-	}
-	p.idle[wf.Key] = wf
-	p.order = append(p.order, wf.Key)
-	if len(p.order) > p.max {
-		delete(p.idle, p.order[0])
-		p.order = p.order[1:]
-		p.evictions++
-	}
-}
-
-func (p *enginePool) removeLocked(key string) {
-	for i, k := range p.order {
-		if k == key {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			return
-		}
-	}
+	p.idle.Checkin(wf)
 }
 
 // poolStats is a consistent snapshot for /metrics.
@@ -131,9 +99,9 @@ func (p *enginePool) stats() poolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return poolStats{
-		hits: p.hits, misses: p.misses, evictions: p.evictions,
+		hits: p.idle.Hits, misses: p.idle.Misses, evictions: p.idle.Evictions,
 		resets: p.resets, resetFailures: p.resetFailures,
 		leaseBusy: p.leaseBusy,
-		size:      len(p.idle), leased: p.leasedN,
+		size:      p.idle.Len(), leased: p.leasedN,
 	}
 }

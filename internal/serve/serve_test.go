@@ -168,6 +168,27 @@ func TestByteIdenticalThroughPool(t *testing.T) {
 	}
 }
 
+// TestShardsOmittedMeansOne: a scenario without "shards" and one with
+// "shards": 1 are the same run — one pool key (the second job reuses the
+// first one's warm fabric) and byte-identical result payloads.
+func TestShardsOmittedMeansOne(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Workers: 2})
+	id1 := submit(t, ts, tinyScenario())
+	waitState(t, ts, id1, StateDone, 30*time.Second)
+	one := tinyScenario()
+	one["scenario"].(map[string]any)["shards"] = 1
+	id2 := submit(t, ts, one)
+	st2 := waitState(t, ts, id2, StateDone, 30*time.Second)
+
+	if st2.PoolHits == 0 || st2.PoolMisses != 0 {
+		t.Errorf("shards=1 job missed the omitted-shards fabric (hits=%d misses=%d)", st2.PoolHits, st2.PoolMisses)
+	}
+	r1, r2 := getResult(t, ts, id1), getResult(t, ts, id2)
+	if !bytes.Equal(r1, r2) {
+		t.Errorf("shards omitted vs 1, different result bytes:\n--- omitted\n%s\n--- shards=1\n%s", r1, r2)
+	}
+}
+
 // TestByteIdenticalConcurrent submits the same spec from many tenants at
 // once; all runs share one warm topology and must agree byte-for-byte.
 // (-race in CI makes this the data-race gate for topology sharing.)

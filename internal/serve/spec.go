@@ -66,9 +66,9 @@ type ScenarioSpec struct {
 	BaselinePeriodSec float64 `json:"baseline_period_sec,omitempty"`
 	// UserRateBps is the offered rate per normal user flow (default 5e6).
 	UserRateBps float64 `json:"user_rate_bps,omitempty"`
-	// Shards selects the simulation engine for this job: 0 the serial
-	// engine, K>=1 the windowed sharded engine. Results are identical for
-	// every K (DESIGN.md, "Sharded conservative engine").
+	// Shards is the engine's shard count for this job; 0 (omitted) means
+	// 1. Results are identical for every count (DESIGN.md, "Sharded
+	// conservative engine").
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -158,6 +158,9 @@ func (r *JobRequest) normalize(defs []experiment.Def, maxTimeout time.Duration) 
 	if r.Scenario != nil {
 		if err := r.Scenario.validate(); err != nil {
 			return err
+		}
+		if r.Scenario.Shards == 0 {
+			r.Scenario.Shards = 1
 		}
 		// Exercise the translation once so impossible configs fail at
 		// submit time, not inside a worker.

@@ -61,25 +61,73 @@ func TestTransferOverNetwork(t *testing.T) {
 	}
 }
 
-func TestTransferSurvivesLossWithFEC(t *testing.T) {
-	rig := newTransferRig(t, FECConfig{ChunkSize: 256, GroupSize: 4, Parity: true})
-	// 5% random loss on the middle link.
-	mid := rig.n.G.LinkBetween(1, 2)
-	rig.n.SetLinkLoss(mid, 0.05)
+// chunkDropper is a test PPM that drops chosen data chunks of state
+// transfers in transit, so FEC tests lose exactly the chunks they name
+// instead of whatever a random loss stream happens to hit.
+type chunkDropper struct {
+	drop    map[uint16]bool // data chunk indices to drop
+	dropped int
+}
+
+func (d *chunkDropper) Name() string                   { return "chunk-dropper" }
+func (d *chunkDropper) Resources() dataplane.Resources { return dataplane.Resources{Stages: 1} }
+
+func (d *chunkDropper) Process(ctx *dataplane.Context) dataplane.Verdict {
+	p := ctx.Pkt
+	if p.Proto == packet.ProtoProbe && p.Probe.Kind == packet.ProbeState &&
+		!p.Probe.FECParity && d.drop[p.Probe.ChunkIdx] {
+		d.dropped++
+		return dataplane.Drop
+	}
+	return dataplane.Continue
+}
+
+// transferWithDrops sends an 8000-byte blob (32 data chunks of 256 bytes,
+// eight parity groups of four) from switch 0 to switch 3 while the middle
+// switch drops the given data chunks, and reports whether the transfer
+// completed intact.
+func transferWithDrops(t *testing.T, drop ...uint16) (completed bool) {
+	t.Helper()
+	cfg := FECConfig{ChunkSize: 256, GroupSize: 4, Parity: true}
+	rig := newTransferRig(t, cfg)
+	d := &chunkDropper{drop: make(map[uint16]bool)}
+	for _, c := range drop {
+		d.drop[c] = true
+	}
+	if err := rig.n.Switch(2).Install(dataplane.Program{PPM: d, Priority: dataplane.PriControl, Modes: 1}); err != nil {
+		t.Fatal(err)
+	}
 	blob := blobOf(8000, 23)
-	if _, err := Send(rig.n, 0, 3, 8, blob, FECConfig{ChunkSize: 256, GroupSize: 4, Parity: true}); err != nil {
+	if _, err := Send(rig.n, 0, 3, 8, blob, cfg); err != nil {
 		t.Fatal(err)
 	}
 	rig.n.Run(time.Second)
-	if rig.n.DropsLoss() == 0 {
-		t.Fatal("fault injection inactive — test proves nothing")
+	if d.dropped != len(drop) {
+		t.Fatalf("dropped %d chunks, want %d", d.dropped, len(drop))
 	}
 	got, ok := rig.received[8]
-	if !ok {
-		t.Fatalf("transfer did not survive %d injected losses", rig.n.DropsLoss())
-	}
-	if !bytes.Equal(got, blob) {
+	if ok && !bytes.Equal(got, blob) {
 		t.Fatal("recovered blob corrupt")
+	}
+	return ok
+}
+
+// TestTransferSurvivesLossWithFEC: one lost data chunk per parity group is
+// exactly what single-parity FEC repairs, in as many groups as lose one.
+func TestTransferSurvivesLossWithFEC(t *testing.T) {
+	// Groups 0, 1, 4 and 7 each lose one data chunk.
+	if !transferWithDrops(t, 1, 6, 17, 30) {
+		t.Fatal("transfer did not survive one loss in each of four parity groups")
+	}
+}
+
+// TestTransferFailsOnTwoLossesInOneGroup is the negative case: two data
+// chunks lost from one group are beyond single parity, so the transfer
+// must stay incomplete rather than deliver a wrong blob.
+func TestTransferFailsOnTwoLossesInOneGroup(t *testing.T) {
+	// Chunks 16 and 17 are both in group 4.
+	if transferWithDrops(t, 16, 17) {
+		t.Fatal("transfer completed despite two losses in one parity group")
 	}
 }
 
